@@ -37,6 +37,8 @@ from repro.topology.butterfly import MultiButterflyTopology
 
 __all__ = ["BaldurNetwork"]
 
+_INF = float("inf")
+
 DEFAULT_TIMEOUT_NS = 3000.0
 """Retransmission timeout: comfortably above the unloaded data+ACK RTT
 (~700 ns) so only real drops trigger retransmission."""
@@ -73,7 +75,6 @@ class BaldurNetwork(NetworkSimulator):
         "_wiring",
         "_bit_table",
         "_last_stage",
-        "_randrange",
         "_getrandbits",
         "_hot",
         "_nic_free_at",
@@ -96,8 +97,7 @@ class BaldurNetwork(NetworkSimulator):
         "masked_switches",
         "_given_up_pids",
         "unreachable",
-        "_quiet",
-        "_slow_arb",
+        "_blocked",
         "_fast",
         "_tx_cache",
         "_seed",
@@ -171,7 +171,6 @@ class BaldurNetwork(NetworkSimulator):
             s for s in range(self.topology.n_stages)
             if self.topology.is_last_stage(s)
         )
-        self._randrange = self._rng.randrange
         self._getrandbits = self._rng.getrandbits
         # All per-hop constants in one tuple: _arrive_stage unpacks it
         # with a single attribute load instead of ~10 (everything here is
@@ -219,6 +218,9 @@ class BaldurNetwork(NetworkSimulator):
         # Degraded-mode operation (Sec. IV-F): switches diagnosed as faulty
         # and masked out of routing; the m-way multiplicity routes around.
         self.masked_switches: Set[Tuple[int, int]] = set()
+        # Ports blocked by test mode or masking: flat _busy index -> real
+        # busy-until time (see _refresh_blocks).
+        self._blocked: Dict[int, float] = {}
         # Retransmission hardening: pids the source explicitly abandoned
         # (at-most-once delivery suppresses any late copy), and per-flow
         # give-up counts for unreachable-destination reporting.
@@ -228,38 +230,57 @@ class BaldurNetwork(NetworkSimulator):
         # rate: first transmits and ACKs hit this dict instead of
         # re-deriving the wire time per packet.
         self._tx_cache: Dict[int, float] = {}
-        # _quiet/_slow_arb compress the per-hop observability and
-        # arbitration-mode checks into one read each; see
-        # _refresh_hot_flags.
-        self._refresh_hot_flags()
+        self._refresh_fast()
 
-    def _refresh_hot_flags(self) -> None:
-        """Recompute the per-hop fast-path gates.
-
-        ``_quiet`` is True when no observer/fault machinery is attached
-        (skip the whole _arrive_stage preamble); ``_slow_arb`` is True
-        when arbitration needs the explicit free-port list.  Every
-        mutation point -- attach_tracer/attach_metrics/attach_faults via
-        the _install hooks, inject_fault, mask_switch/unmask_switch,
-        enable_test_mode -- refreshes both, so the hot loop reads one
-        slot instead of five.
+    def _refresh_fast(self) -> None:
+        """Recompute ``_fast``, the one per-hop gate of _arrive_stage: True
+        when no observer, fault or path recording is attached, so the hot
+        loop skips its whole preamble with one slot read.  Every mutation
+        point (the _install hooks, inject_fault, record_paths) calls it.
         """
-        self._quiet = (
+        self._fast = (
             self.tracer is None
             and self.metrics is None
             and self.fault_injector is None
             and not self.faulty_switches
+            and not self._record_paths
         )
-        self._slow_arb = (
-            self.test_port is not None
-            or bool(self.masked_switches)
-            or self.metrics is not None
-        )
-        # One combined gate for the hottest call: when set, _arrive_stage
-        # skips its entire preamble with a single slot read.
-        self._fast = (
-            self._quiet and not self._slow_arb and not self._record_paths
-        )
+
+    def _refresh_blocks(self) -> None:
+        """Recompute the output ports arbitration may not select.
+
+        Test mode blocks every port but ``test_port`` and overrides
+        masking; a mask blocks the ports leading into the masked switch
+        (never a last-stage port: those lead to hosts).  A blocked port
+        reads ``+inf`` in ``_busy``, so the one arbitration scan skips it
+        with the same RNG draws; its real occupancy is parked in
+        ``_blocked`` until the port is unblocked.
+        """
+        m = self.multiplicity
+        busy = self._busy
+        if self.test_port is not None:
+            port = self.test_port
+            blocked = {i for i in range(len(busy)) if i % m != port}
+        else:
+            masked = self.masked_switches
+            sps = self._sps
+            next_switches = self.topology.next_switches
+            # Only the stages feeding a masked switch have ports to block.
+            feeding = {s - 1 for s, _ in masked if 0 < s <= self._last_stage}
+            blocked = {
+                ((stage * sps + switch) * 2 + bit) * m + k
+                for stage in feeding
+                for switch in range(sps)
+                for bit in (0, 1)
+                for k, target in enumerate(next_switches(stage, switch, bit))
+                if (stage + 1, target) in masked
+            }
+        parked = self._blocked
+        for i in sorted(parked.keys() - blocked):
+            busy[i] = parked.pop(i)
+        for i in sorted(blocked - parked.keys()):
+            parked[i] = busy[i]
+            busy[i] = _INF
 
     @property
     def record_paths(self) -> bool:
@@ -269,15 +290,15 @@ class BaldurNetwork(NetworkSimulator):
     @record_paths.setter
     def record_paths(self, value: bool) -> None:
         self._record_paths = bool(value)
-        self._refresh_hot_flags()
+        self._refresh_fast()
 
     def _install_obs(self) -> None:
         super()._install_obs()
-        self._refresh_hot_flags()
+        self._refresh_fast()
 
     def _install_faults(self) -> None:
         super()._install_faults()
-        self._refresh_hot_flags()
+        self._refresh_fast()
 
     # -- fault injection and diagnosis support (Sec. IV-F) ------------------
 
@@ -288,7 +309,7 @@ class BaldurNetwork(NetworkSimulator):
         if not 0 <= switch < self.topology.switches_per_stage:
             raise ConfigurationError(f"switch {switch} out of range")
         self.faulty_switches.add((stage, switch))
-        self._refresh_hot_flags()
+        self._refresh_fast()
 
     def mask_switch(self, stage: int, switch: int) -> None:
         """Degraded mode (Sec. IV-F): exclude a diagnosed switch from
@@ -302,12 +323,12 @@ class BaldurNetwork(NetworkSimulator):
         if not 0 <= switch < self.topology.switches_per_stage:
             raise ConfigurationError(f"switch {switch} out of range")
         self.masked_switches.add((stage, switch))
-        self._refresh_hot_flags()
+        self._refresh_blocks()
 
     def unmask_switch(self, stage: int, switch: int) -> None:
         """Return a repaired switch to service."""
         self.masked_switches.discard((stage, switch))
-        self._refresh_hot_flags()
+        self._refresh_blocks()
 
     def switch_ids(self) -> List[int]:
         """Flat ids of every 2x2 switch (stage-major, as in diagnosis)."""
@@ -324,7 +345,7 @@ class BaldurNetwork(NetworkSimulator):
                 f"test port {port} out of range [0, {self.multiplicity})"
             )
         self.test_port = port
-        self._refresh_hot_flags()
+        self._refresh_blocks()
 
     def flat_switch_id(self, stage: int, switch: int) -> int:
         """Flat id used in recorded paths."""
@@ -382,8 +403,7 @@ class BaldurNetwork(NetworkSimulator):
                 packet._tx_ns = tx
         nic[src] = start + tx
         # start >= now and the offsets are non-negative model constants,
-        # so the unvalidated inline heap push (Environment._push,
-        # open-coded) is safe here.
+        # so an unvalidated inline heap push is safe here.
         queue = env._queue
         seq = env._seq
         ctx = self._shard_ctx
@@ -424,21 +444,19 @@ class BaldurNetwork(NetworkSimulator):
         """Packet header reaches (stage, switch): arbitrate and forward.
 
         This is the simulator's hottest function (one call per packet per
-        stage), so it is engineered as a fast/slow split (DESIGN.md
-        section 10).  The fast path -- no test mode, no masked switches,
-        no metrics -- arbitrates with an allocation-free two-pass scan of
-        the flat ``_busy`` array; the slow path builds the explicit
-        free-port list that masking/test-mode filtering and the metrics
-        occupancy gauge need.  Both consume the arbitration RNG
-        identically (one ``randrange(n_free)`` draw iff more than one
-        port is free, picking the idx-th free port in ascending order),
-        so results are byte-identical across paths.
+        stage; DESIGN.md section 10).  One ``_fast`` read skips the
+        observer/fault preamble when nothing is attached.  Arbitration is
+        one allocation-free scan of the flat ``_busy`` array for every
+        mode: ports blocked by test mode or masking read ``+inf`` there
+        (see :meth:`_refresh_blocks`), so they never count as free.  The
+        scan counts the free ports, draws ``randrange(n_free)`` iff more
+        than one is free, and takes the idx-th free port in ascending
+        order; the metrics occupancy gauge reads ``m - n_free``.
         """
         (sps, last_stage, m, busy, bits, wiring, switch_latency,
          link_delay, rate, getrandbits, env) = self._hot
         now = env._now  # dispatch set the clock; skip the property hop
-        fast = self._fast
-        if fast:
+        if self._fast:
             tracer = metrics = injector = None
         else:
             if self._record_paths:
@@ -467,89 +485,60 @@ class BaldurNetwork(NetworkSimulator):
             if bits is not None
             else self.topology.routing_bit(packet.dst, stage)
         )
+        base = ((stage * sps + switch) * 2 + bit) * m
+        # Count the free ports without building a list.
+        n_free = 0
+        k = base
+        i = base
+        end = base + m
+        while i < end:
+            if busy[i] <= now:
+                n_free += 1
+                k = i
+            i += 1
+        if metrics is not None:
+            n_busy = m - n_free
+            metrics.observe_max("occupancy_ports", flat, now, n_busy)
+            if n_busy:
+                metrics.incr("arb_conflicts", flat, now)
+        if n_free == 0:
+            if tracer is not None:
+                tracer.record(
+                    now, "arb_loss", packet, switch=flat, stage=stage
+                )
+            self._drop_in_network(packet, stage=stage, switch=switch,
+                                  note="all ports busy")
+            return
+        if n_free > 1:
+            # Pick the idx-th free port in ascending order.  randrange(n)
+            # is inlined as CPython's Random._randbelow rejection loop
+            # (draw bit_length(n) bits, reject >= n) -- verbatim, so the
+            # RNG stream is exactly that of randrange while skipping two
+            # Python call frames per arbitration.
+            nbits = n_free.bit_length()
+            idx = getrandbits(nbits)
+            while idx >= n_free:
+                idx = getrandbits(nbits)
+            if n_free == m:
+                # Every port is free (the common case at light load):
+                # the idx-th free port is simply port idx.
+                k = base + idx
+            else:
+                i = base
+                while True:
+                    if busy[i] <= now:
+                        if idx == 0:
+                            k = i
+                            break
+                        idx -= 1
+                    i += 1
+        k -= base
         last = stage == last_stage
         targets = (
             wiring[stage][switch][bit]
             if wiring is not None
             else self.topology.next_switches(stage, switch, bit)
         )
-        base = ((stage * sps + switch) * 2 + bit) * m
-        if not fast and self._slow_arb:
-            # Slow path: the explicit free-port list.  Test mode pins one
-            # port, degraded mode filters ports by masked target, and the
-            # metrics occupancy gauge needs the full free count.
-            if self.test_port is not None:
-                free = (
-                    [self.test_port]
-                    if busy[base + self.test_port] <= now else []
-                )
-            else:
-                free = [k for k in range(m) if busy[base + k] <= now]
-                if self.masked_switches and not last:
-                    # Degraded mode: never forward into a masked switch.
-                    free = [
-                        k for k in free
-                        if (stage + 1, targets[k]) not in self.masked_switches
-                    ]
-            if metrics is not None:
-                n_busy = m - len(free)
-                metrics.observe_max("occupancy_ports", flat, now, n_busy)
-                if n_busy:
-                    metrics.incr("arb_conflicts", flat, now)
-            if not free:
-                if tracer is not None:
-                    tracer.record(
-                        now, "arb_loss", packet, switch=flat, stage=stage
-                    )
-                self._drop_in_network(packet, stage=stage, switch=switch,
-                                      note="all ports busy")
-                return
-            n_free = len(free)
-            k = free[self._randrange(n_free)] if n_free > 1 else free[0]
-        else:
-            # Fast path: count the free ports without building a list.
-            n_free = 0
-            k = base
-            i = base
-            end = base + m
-            while i < end:
-                if busy[i] <= now:
-                    n_free += 1
-                    k = i
-                i += 1
-            if n_free == 0:
-                if tracer is not None:
-                    tracer.record(
-                        now, "arb_loss", packet, switch=flat, stage=stage
-                    )
-                self._drop_in_network(packet, stage=stage, switch=switch,
-                                      note="all ports busy")
-                return
-            if n_free > 1:
-                # Same draw as the list path: pick the idx-th free port
-                # in ascending order.  randrange(n) is inlined as
-                # CPython's Random._randbelow rejection loop (draw
-                # bit_length(n) bits, reject >= n) -- verbatim, so the
-                # RNG stream stays byte-identical while skipping two
-                # Python call frames per arbitration.
-                nbits = n_free.bit_length()
-                idx = getrandbits(nbits)
-                while idx >= n_free:
-                    idx = getrandbits(nbits)
-                if n_free == m:
-                    # Every port is free (the common case at light load):
-                    # the idx-th free port is simply port idx.
-                    k = base + idx
-                else:
-                    i = base
-                    while True:
-                        if busy[i] <= now:
-                            if idx == 0:
-                                k = i
-                                break
-                            idx -= 1
-                        i += 1
-            k -= base
         tx = (
             packet._tx_ns if packet._tx_rate == rate
             else packet.serialization_time_ns(rate)
@@ -563,9 +552,8 @@ class BaldurNetwork(NetworkSimulator):
         latency = switch_latency
         if injector is not None:
             latency += injector.extra_latency_ns(flat, now)
-        # Delays below are sums of non-negative model constants, so the
-        # unvalidated inline heap push (Environment._push, open-coded to
-        # save a call per hop) is safe.
+        # Delays below are sums of non-negative model constants, so an
+        # unvalidated inline heap push (saving a call per hop) is safe.
         seq = env._seq
         env._seq = seq + 1
         ctx = self._shard_ctx
@@ -838,7 +826,6 @@ class BaldurNetwork(NetworkSimulator):
         seed = shard_stream_seed(root_seed, ctx.shard)
         self._rng = stream(seed, "baldur-arbitration")
         self._beb_rng = stream(seed, "baldur-beb")
-        self._randrange = self._rng.randrange
         self._getrandbits = self._rng.getrandbits
         # _hot caches _getrandbits; rebuild it with the shard stream.
         self._hot = (

@@ -55,8 +55,9 @@ HOT_CLOCK_PREFIXES = (
 """Packages in which CLK-001 and DET-001 apply (the simulation core).
 
 Wall-clock reads are allowed only in measurement/driver layers
-(``repro.analysis.perf``, ``repro.runner.engine``, ``repro.obs.profile``,
-the CLI) where they feed reports, never simulation state.
+(the ``perfbench/`` benchmark, ``repro.runner.engine``,
+``repro.obs.profile``, the CLI) where they feed reports, never simulation
+state.
 """
 
 SLOTS_MODULES = (
@@ -70,15 +71,10 @@ SLOTS_MODULES = (
 """Exact modules (plus the ``repro.netsim`` package) checked by SLOTS-001."""
 
 FAST_PATH_ALLOWLIST = frozenset({
-    # The kernel itself: validated entry points plus the documented
-    # unvalidated internal push.
+    # The kernel itself: its validated entry points.
     ("repro.sim.core", "Environment.schedule"),
     ("repro.sim.core", "Environment.schedule_at"),
     ("repro.sim.core", "Environment.schedule_batch"),
-    ("repro.sim.core", "Environment._push"),
-    ("repro.sim.core", "Environment._schedule_event"),
-    ("repro.sim.core", "Process.__init__"),
-    ("repro.sim.core", "Process._resume"),
     # PR 4's audited open-coded pushes (delays are sums of non-negative
     # model constants; see the inline safety comments at each site).
     ("repro.core.baldur_network", "BaldurNetwork._transmit"),
@@ -236,8 +232,8 @@ def check_clock(src: SourceFile) -> Iterator[Finding]:
     Simulation time is :attr:`Environment.now`; a wall-clock read in
     simulation code either leaks nondeterminism into results or silently
     measures the host instead of the model.  Measurement layers
-    (``repro.analysis.perf``, ``repro.obs.profile``, ``repro.runner``)
-    are outside the banned set by construction.
+    (``perfbench/``, ``repro.obs.profile``, ``repro.runner``) are outside
+    the banned set by construction.
     """
     if not _in_packages(src.module, HOT_CLOCK_PREFIXES):
         return
@@ -260,7 +256,7 @@ def check_clock(src: SourceFile) -> Iterator[Finding]:
                     f"importing {', '.join(banned)} from {node.module} "
                     "inside simulation code; use Environment.now for "
                     "simulated time (wall clocks belong in "
-                    "repro.analysis.perf / repro.obs.profile / the CLI)",
+                    "perfbench, repro.obs.profile or the CLI)",
                 )
         elif isinstance(node, (ast.Attribute, ast.Name)):
             resolved = imports.resolve(node)
@@ -274,7 +270,7 @@ def check_clock(src: SourceFile) -> Iterator[Finding]:
                     node,
                     f"{resolved} read inside simulation code; use "
                     "Environment.now (wall clocks belong in "
-                    "repro.analysis.perf / repro.obs.profile / the CLI)",
+                    "perfbench, repro.obs.profile or the CLI)",
                 )
 
 

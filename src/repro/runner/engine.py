@@ -43,6 +43,7 @@ from typing import (
     Dict,
     List,
     Optional,
+    Set,
     Tuple,
     Union,
 )
@@ -632,6 +633,10 @@ def _run_parallel(state: _SweepState, to_run: List[int],
 
     pending: Deque[_PendingJob] = deque(_PendingJob(i) for i in to_run)
     in_flight: Dict[Future[_WorkerResult], Tuple[int, float]] = {}
+    # Jobs that were in flight when the pool broke.  Each re-runs alone,
+    # so a further crash is charged to exactly one job and an innocent
+    # bystander is never quarantined for a poison cell's crashes.
+    suspects: Set[int] = set()
     rebuilds = 0
 
     def requeue(i: int, delay: float = 0.0) -> None:
@@ -682,14 +687,20 @@ def _run_parallel(state: _SweepState, to_run: List[int],
                 return True
 
             # Dispatch every ready pending job into free worker slots.
+            solo = any(i in suspects for i, _ in in_flight.values())
             for _ in range(len(pending)):
-                if len(in_flight) >= workers:
+                if solo or len(in_flight) >= workers:
                     break
                 item = pending.popleft()
-                if item.ready_at > now:
-                    pending.append(item)  # still backing off; rotate
+                if item.ready_at > now or (
+                    item.index in suspects and in_flight
+                ):
+                    # Still backing off, or a suspect waiting to run
+                    # alone; rotate.
+                    pending.append(item)
                     continue
                 i = item.index
+                solo = i in suspects
                 job = state.expanded[i]
                 state.dispatches[i] += 1
                 assert pool is not None
@@ -735,8 +746,11 @@ def _run_parallel(state: _SweepState, to_run: List[int],
                 if isinstance(exc, BrokenProcessPool):
                     crashed = True
                     if state.record_crash(i):
+                        suspects.add(i)
                         requeue(i)
-                elif exc is not None:
+                    continue
+                suspects.discard(i)
+                if exc is not None:
                     delay = state.record_failure(i, exc, str(exc))
                     if delay is not None:
                         requeue(i, delay)
@@ -757,9 +771,11 @@ def _run_parallel(state: _SweepState, to_run: List[int],
                 state.report.worker_crashes += 1
                 state.counters.incr("worker_crashes")
                 # Crashes cannot be attributed precisely: every in-flight
-                # job advances its crash counter and is re-dispatched.
+                # job advances its crash counter and is re-dispatched
+                # alone (see suspects).
                 for i, _ in in_flight.values():
                     if state.record_crash(i):
+                        suspects.add(i)
                         requeue(i)
                 in_flight.clear()
                 if not rebuild("worker crash"):

@@ -1,9 +1,13 @@
 """Tests for the discrete-event kernel (repro.sim.core)."""
 
+import bisect
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import SimulationError
-from repro.sim import AllOf, AnyOf, Environment, Interrupt
+from repro.sim import Environment
 
 
 class TestScheduling:
@@ -103,235 +107,6 @@ class TestScheduling:
         assert fired == [("outer", 1.0), ("inner", 4.0)]
 
 
-class TestEvents:
-    def test_event_succeed_delivers_value(self):
-        env = Environment()
-        event = env.event()
-        seen = []
-        event.callbacks.append(lambda e: seen.append(e.value))
-        event.succeed("payload")
-        env.run()
-        assert seen == ["payload"]
-
-    def test_event_double_trigger_raises(self):
-        env = Environment()
-        event = env.event()
-        event.succeed()
-        with pytest.raises(SimulationError):
-            event.succeed()
-
-    def test_event_fail_requires_exception(self):
-        env = Environment()
-        event = env.event()
-        with pytest.raises(SimulationError):
-            event.fail("not an exception")
-
-    def test_event_flags_lifecycle(self):
-        env = Environment()
-        event = env.event()
-        assert not event.triggered and not event.processed
-        event.succeed(1)
-        assert event.triggered and not event.processed
-        env.run()
-        assert event.processed and event.ok and event.value == 1
-
-
-class TestProcesses:
-    def test_simple_timeout_process(self):
-        env = Environment()
-        log = []
-
-        def proc():
-            log.append(env.now)
-            yield env.timeout(10)
-            log.append(env.now)
-
-        env.process(proc())
-        env.run()
-        assert log == [0.0, 10.0]
-
-    def test_process_return_value(self):
-        env = Environment()
-
-        def proc():
-            yield env.timeout(1)
-            return "done"
-
-        p = env.process(proc())
-        env.run()
-        assert p.value == "done"
-
-    def test_process_requires_generator(self):
-        env = Environment()
-        with pytest.raises(SimulationError):
-            env.process(lambda: None)
-
-    def test_process_waits_on_event(self):
-        env = Environment()
-        gate = env.event()
-        log = []
-
-        def waiter():
-            value = yield gate
-            log.append((env.now, value))
-
-        env.process(waiter())
-        env.schedule(5.0, lambda: gate.succeed("go"))
-        env.run()
-        assert log == [(5.0, "go")]
-
-    def test_process_waits_on_another_process(self):
-        env = Environment()
-        log = []
-
-        def child():
-            yield env.timeout(3)
-            return "child-result"
-
-        def parent():
-            result = yield env.process(child())
-            log.append((env.now, result))
-
-        env.process(parent())
-        env.run()
-        assert log == [(3.0, "child-result")]
-
-    def test_yield_already_processed_event_resumes_immediately(self):
-        env = Environment()
-        done = env.event()
-        done.succeed("early")
-        log = []
-
-        def late_waiter():
-            yield env.timeout(5)
-            value = yield done
-            log.append((env.now, value))
-
-        env.process(late_waiter())
-        env.run()
-        assert log == [(5.0, "early")]
-
-    def test_interrupt_handled(self):
-        env = Environment()
-        log = []
-
-        def sleeper():
-            try:
-                yield env.timeout(100)
-            except Interrupt as exc:
-                log.append((env.now, exc.cause))
-
-        p = env.process(sleeper())
-        env.schedule(4.0, lambda: p.interrupt("wake up"))
-        env.run()
-        assert log == [(4.0, "wake up")]
-
-    def test_interrupt_finished_process_raises(self):
-        env = Environment()
-
-        def quick():
-            yield env.timeout(1)
-
-        p = env.process(quick())
-        env.run()
-        with pytest.raises(SimulationError):
-            p.interrupt()
-
-    def test_unhandled_interrupt_fails_process(self):
-        env = Environment()
-
-        def sleeper():
-            yield env.timeout(100)
-
-        p = env.process(sleeper())
-        env.schedule(1.0, lambda: p.interrupt("boom"))
-        env.run()
-        assert p.processed and not p.ok
-        assert isinstance(p.value, Interrupt)
-
-    def test_is_alive(self):
-        env = Environment()
-
-        def proc():
-            yield env.timeout(10)
-
-        p = env.process(proc())
-        assert p.is_alive
-        env.run()
-        assert not p.is_alive
-
-    def test_yield_non_event_raises(self):
-        env = Environment()
-
-        def bad():
-            yield 42
-
-        env.process(bad())
-        with pytest.raises(SimulationError):
-            env.run()
-
-
-class TestConditions:
-    def test_any_of_fires_on_first(self):
-        env = Environment()
-        log = []
-
-        def proc():
-            t1 = env.timeout(5, value="fast")
-            t2 = env.timeout(50, value="slow")
-            result = yield env.any_of([t1, t2])
-            log.append((env.now, list(result.values())))
-
-        env.process(proc())
-        env.run(until=100)
-        assert log[0][0] == 5.0
-        assert "fast" in log[0][1]
-
-    def test_all_of_waits_for_all(self):
-        env = Environment()
-        log = []
-
-        def proc():
-            t1 = env.timeout(5)
-            t2 = env.timeout(50)
-            yield env.all_of([t1, t2])
-            log.append(env.now)
-
-        env.process(proc())
-        env.run()
-        assert log == [50.0]
-
-    def test_all_of_empty_fires_immediately(self):
-        env = Environment()
-        log = []
-
-        def proc():
-            yield env.all_of([])
-            log.append(env.now)
-
-        env.process(proc())
-        env.run()
-        assert log == [0.0]
-
-    def test_condition_classes_exported(self):
-        env = Environment()
-        assert isinstance(env.any_of([]), AnyOf)
-        assert isinstance(env.all_of([]), AllOf)
-
-
-class TestTimeout:
-    def test_negative_delay_raises(self):
-        env = Environment()
-        with pytest.raises(SimulationError):
-            env.timeout(-0.5)
-
-    def test_timeout_carries_value(self):
-        env = Environment()
-        t = env.timeout(1, value="v")
-        env.run()
-        assert t.value == "v"
-
-
 class TestNonFiniteDelays:
     """NaN/inf delays would corrupt heap order (every NaN comparison is
     False); the kernel must reject them eagerly."""
@@ -351,12 +126,6 @@ class TestNonFiniteDelays:
         env = Environment()
         with pytest.raises(SimulationError):
             env.schedule_at(when, lambda: None)
-
-    @pytest.mark.parametrize("delay", [float("nan"), float("inf")])
-    def test_timeout_rejects_non_finite(self, delay):
-        env = Environment()
-        with pytest.raises(SimulationError):
-            env.timeout(delay)
 
     def test_schedule_batch_rejects_non_finite(self):
         env = Environment()
@@ -458,17 +227,17 @@ class TestScheduleBatch:
         assert order == ["a", "b"]
         assert env.empty()
 
-    def test_peek_empty_step_see_the_batch(self):
+    def test_peek_and_empty_see_the_batch(self):
         env = Environment()
         fired = []
         env.schedule_batch([(2.0, fired.append, (2.0,))])
         env.schedule(3.0, fired.append, 3.0)
         assert not env.empty()
         assert env.peek() == 2.0
-        env.step()
+        env.run(until=2.0)
         assert fired == [2.0]
         assert env.peek() == 3.0
-        env.step()
+        env.run(until=3.0)
         assert fired == [2.0, 3.0]
         assert env.empty()
 
@@ -499,70 +268,81 @@ class TestScheduleBatch:
         assert order == ["first", "early", "late"]
 
 
-class TestInterruptBookkeeping:
-    """Process.interrupt abandons the awaited event in O(1); the event
-    firing later must not resume the process a second time."""
+# -- one drain loop: a single run() equals successive run(until=t) windows --
 
-    def test_abandoned_event_fire_does_not_double_resume(self):
-        env = Environment()
-        log = []
-        wakeup = env.event()
+# Delays drawn partly from a small set so simultaneous events (FIFO
+# tie-breaks) and events exactly at a window boundary are common.
+_TIMES = st.sampled_from([0.0, 0.5, 1.0, 2.0]) | st.floats(0.0, 10.0)
+# How a callback schedules its children: one schedule() each, one
+# schedule_at() each, or all of them in one schedule_batch().
+_SPAWN = st.tuples(
+    st.sampled_from(["schedule", "schedule_at", "batch"]),
+    st.lists(_TIMES, min_size=1, max_size=3),
+)
 
-        def proc():
-            try:
-                yield wakeup
-                log.append("event")
-            except Interrupt:
-                log.append("interrupted")
-                yield env.timeout(5.0)
-                log.append("slept")
 
-        p = env.process(proc())
-        env.schedule(1.0, p.interrupt, "go")
-        # The abandoned event fires while the process sleeps; it must not
-        # resume the process early (or twice).
-        env.schedule(2.0, wakeup.succeed)
-        env.run()
-        assert log == ["interrupted", "slept"]
-        assert env.now == 6.0
+def _drive(roots, program, windows):
+    """Run one random callback program.
 
-    def test_double_interrupt_delivers_both(self):
-        env = Environment()
-        log = []
+    Returns the dispatch log, the log length after each window, and the
+    final ``now``.  Callback ids are handed out in scheduling order.
+    Callback ``c`` logs ``(now, c)`` and, while ``c < len(program)``,
+    schedules the children ``program[c]`` describes.  ``windows`` are
+    the ``run(until=t)`` calls made before the final unbounded ``run()``.
+    """
+    env = Environment()
+    log = []
+    next_id = [0]
 
-        def proc():
-            for _ in range(2):
-                try:
-                    yield env.timeout(100.0)
-                    log.append("timeout")
-                except Interrupt as exc:
-                    log.append(f"interrupted:{exc.cause}")
+    def spawn(spec):
+        kind, delays = spec
+        first = next_id[0]
+        next_id[0] += len(delays)
+        entries = [
+            (env.now + delay, fire, (first + j,))
+            for j, delay in enumerate(delays)
+        ]
+        if kind == "schedule":
+            for j, delay in enumerate(delays):
+                env.schedule(delay, fire, first + j)
+        elif kind == "schedule_at":
+            for when, fn, args in entries:
+                env.schedule_at(when, fn, *args)
+        else:
+            env.schedule_batch(entries)
 
-        p = env.process(proc())
-        env.schedule(1.0, p.interrupt, "one")
-        env.schedule(2.0, p.interrupt, "two")
-        env.run()
-        assert log == ["interrupted:one", "interrupted:two"]
+    def fire(cid):
+        log.append((env.now, cid))
+        if cid < len(program):
+            spawn(program[cid])
 
-    def test_reyield_same_event_after_interrupt(self):
-        """Re-waiting on the very event abandoned by an interrupt still
-        works: the tombstone consumes exactly one resume, so the second
-        registration wakes the process when the event fires."""
-        env = Environment()
-        log = []
-        wakeup = env.event()
+    for spec in roots:
+        spawn(spec)
+    done = []
+    for until in windows:
+        env.run(until=until)
+        done.append(len(log))
+    env.run()
+    return log, done, env.now
 
-        def proc():
-            try:
-                yield wakeup
-                log.append("first-wait")
-            except Interrupt:
-                log.append("interrupted")
-            yield wakeup
-            log.append("second-wait")
 
-        p = env.process(proc())
-        env.schedule(1.0, p.interrupt, "go")
-        env.schedule(2.0, wakeup.succeed)
-        env.run()
-        assert log == ["interrupted", "second-wait"]
+class TestOneDrainLoop:
+    @given(
+        roots=st.lists(_SPAWN, min_size=1, max_size=4),
+        program=st.lists(_SPAWN, max_size=25),
+        windows=st.lists(st.sampled_from([0.5, 1.0, 2.0, 3.0, 8.0])
+                         | st.floats(0.0, 30.0), max_size=6),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_windows_match_one_run(self, roots, program, windows):
+        windows = sorted(windows)
+        once, _, now_once = _drive(roots, program, [])
+        windowed, done, now_windowed = _drive(roots, program, windows)
+        assert windowed == once
+        times = [when for when, _ in once]
+        assert times == sorted(times)
+        # Window run(until=t) dispatches exactly the events at times <= t.
+        assert done == [bisect.bisect_right(times, t) for t in windows]
+        assert now_once == times[-1]
+        # A window past the last event leaves the clock at its end.
+        assert now_windowed == max([now_once, *windows])
