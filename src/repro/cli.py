@@ -419,23 +419,12 @@ def _cmd_resilience(args) -> None:
 
 
 def _cmd_zoo(args) -> int:
-    """Architecture-zoo comparison sweep (or ``--list`` the registry)."""
+    """Architecture-zoo comparison sweep (or ``--list`` the table)."""
     from repro import zoo
 
     if args.list:
-        print("# architectures (topology x routing x switch x scheduler)")
-        for name in zoo.architectures():
-            spec = zoo.architecture(name)
-            print(f"  {spec.describe()}")
-            if spec.summary:
-                print(f"      {spec.summary}")
-        print()
-        for registry in (zoo.TOPOLOGIES, zoo.ROUTINGS, zoo.SWITCHES,
-                         zoo.SCHEDULERS):
-            print(f"# {registry.kind} components")
-            for cname in registry.names():
-                print(f"  {registry.get(cname).describe()}")
-            print()
+        for name, (_, description) in zoo.ARCHITECTURES.items():
+            print(f"{name}: {description}")
         return 0
 
     from repro.analysis.experiments import reshape_zoo, zoo_spec
@@ -595,13 +584,13 @@ def build_parser() -> argparse.ArgumentParser:
               packets=dict(type=int, default=20),
               pattern=dict(default="random_permutation"))
     zoo.add_argument("--list", action="store_true",
-                     help="list registered architectures and components")
+                     help="list the architecture table")
     zoo.add_argument("--loads", type=float, nargs="+",
                      default=[0.1, 0.4, 0.7])
     zoo.add_argument("--networks", nargs="+",
                      default=["baldur", "rotor"],
-                     help="architecture names to compare (any registry "
-                          "entry)")
+                     help="architecture names to compare (any "
+                          "repro.zoo table row)")
     trace = add(
         "trace", _cmd_trace,
         network=dict(default="baldur",

@@ -28,6 +28,7 @@ from typing import Dict, List, Optional, Set, Tuple
 
 from repro import constants as C
 from repro.errors import ConfigurationError, ShardingUnsupportedError
+from repro.faults import FailStop, FaultInjector
 from repro.netsim.network import NetworkSimulator
 from repro.netsim.packet import ACK_SIZE_BYTES, Packet
 from repro.shard.runtime import MSG_ARRIVE, MSG_DELIVER, shard_stream_seed
@@ -90,7 +91,6 @@ class BaldurNetwork(NetworkSimulator):
         "filtered_packets",
         "acks_sent",
         "_pending_ack_covers",
-        "faulty_switches",
         "test_port",
         "_record_paths",
         "paths",
@@ -211,7 +211,6 @@ class BaldurNetwork(NetworkSimulator):
         self.filtered_packets = 0
         self.acks_sent = 0
         self._pending_ack_covers: Dict[int, List[int]] = {}
-        self.faulty_switches: Set[tuple] = set()
         self.test_port: Optional[int] = None
         self._record_paths = False
         self.paths: Dict[int, List[int]] = {}
@@ -236,13 +235,12 @@ class BaldurNetwork(NetworkSimulator):
         """Recompute ``_fast``, the one per-hop gate of _arrive_stage: True
         when no observer, fault or path recording is attached, so the hot
         loop skips its whole preamble with one slot read.  Every mutation
-        point (the _install hooks, inject_fault, record_paths) calls it.
+        point (the _install hooks and record_paths) calls it.
         """
         self._fast = (
             self.tracer is None
             and self.metrics is None
             and self.fault_injector is None
-            and not self.faulty_switches
             and not self._record_paths
         )
 
@@ -303,13 +301,18 @@ class BaldurNetwork(NetworkSimulator):
     # -- fault injection and diagnosis support (Sec. IV-F) ------------------
 
     def inject_fault(self, stage: int, switch: int) -> None:
-        """Mark a 2x2 switch as faulty: it drops every packet it sees."""
+        """Mark a 2x2 switch as faulty: it drops every packet it sees.
+
+        Adds a permanent :class:`~repro.faults.FailStop` to the attached
+        fault injector, attaching a fresh one first if none is attached.
+        """
         if not 0 <= stage < self.topology.n_stages:
             raise ConfigurationError(f"stage {stage} out of range")
         if not 0 <= switch < self.topology.switches_per_stage:
             raise ConfigurationError(f"switch {switch} out of range")
-        self.faulty_switches.add((stage, switch))
-        self._refresh_fast()
+        if self.fault_injector is None:
+            self.attach_faults(FaultInjector())
+        self.fault_injector.add(FailStop(self.flat_switch_id(stage, switch)))
 
     def mask_switch(self, stage: int, switch: int) -> None:
         """Degraded mode (Sec. IV-F): exclude a diagnosed switch from
@@ -466,7 +469,6 @@ class BaldurNetwork(NetworkSimulator):
             tracer = self.tracer
             metrics = self.metrics
             injector = self.fault_injector
-            faulty = self.faulty_switches
             flat = stage * sps + switch
             if tracer is not None:
                 tracer.record(
@@ -474,9 +476,7 @@ class BaldurNetwork(NetworkSimulator):
                 )
             if metrics is not None:
                 metrics.incr("arrivals", flat, now)
-            if (stage, switch) in faulty or (
-                injector is not None and injector.check_drop(flat, now)
-            ):
+            if injector is not None and injector.check_drop(flat, now):
                 self._drop_in_network(packet, stage=stage, switch=switch,
                                       note="fault")
                 return
@@ -783,8 +783,6 @@ class BaldurNetwork(NetworkSimulator):
 
     def _shard_check_supported(self) -> None:
         reasons = []
-        if self.faulty_switches:
-            reasons.append("injected switch faults")
         if self.masked_switches:
             reasons.append("masked switches (degraded mode)")
         if self.test_port is not None:

@@ -39,18 +39,12 @@ class DragonflyNetwork(NetworkSimulator):
     """Packet simulator for the dragonfly baseline."""
 
     # See MultiButterflyNetwork: zero-latency credit feedback rules out
-    # sharded execution; the plan exists for partition introspection.
+    # sharded execution.
     _shard_exec_unsupported_reason = (
         "buffered electrical switches propagate flow-control credits with "
         "zero simulated latency, so a conservative lookahead window "
         "across any cut would be empty"
     )
-
-    def shard_plan(self, n_shards: int, shard_latency_ns: float = 0.0):
-        """Group-cut partition plan (introspection only; see above)."""
-        from repro.shard.plan import dragonfly_plan
-
-        return dragonfly_plan(self.topology, n_shards)
 
     def __init__(
         self,

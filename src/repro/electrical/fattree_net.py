@@ -45,18 +45,12 @@ class FatTreeNetwork(NetworkSimulator):
     """Packet simulator for the 3-level full-bisection fat-tree."""
 
     # See MultiButterflyNetwork: zero-latency credit feedback rules out
-    # sharded execution; the plan exists for partition introspection.
+    # sharded execution.
     _shard_exec_unsupported_reason = (
         "buffered electrical switches propagate flow-control credits with "
         "zero simulated latency, so a conservative lookahead window "
         "across any cut would be empty"
     )
-
-    def shard_plan(self, n_shards: int, shard_latency_ns: float = 0.0):
-        """Pod-cut partition plan (introspection only; see above)."""
-        from repro.shard.plan import fattree_plan
-
-        return fattree_plan(self.topology, n_shards)
 
     def __init__(
         self,

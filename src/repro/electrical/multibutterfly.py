@@ -34,25 +34,12 @@ class MultiButterflyNetwork(NetworkSimulator):
     # fabrics: VCBuffer.release wakes the upstream port at the same
     # simulated time (zero-latency credit feedback), so the conservative
     # lookahead across any cut through a credit loop is zero (DESIGN.md
-    # section 14).  shard_plan still works for partition introspection.
+    # section 14), and run_sharded refuses before it asks for a plan.
     _shard_exec_unsupported_reason = (
         "buffered electrical switches propagate flow-control credits with "
         "zero simulated latency, so a conservative lookahead window "
         "across any cut would be empty"
     )
-
-    def shard_plan(self, n_shards: int, shard_latency_ns: float = 0.0):
-        """Stage-cut partition plan (introspection only; see above)."""
-        from repro.shard.plan import multistage_plan
-
-        return multistage_plan(
-            self.topology,
-            n_shards,
-            link_delay_ns=self.link_delay_ns,
-            switch_latency_ns=self.switch_latency_ns,
-            cut_delay_ns=shard_latency_ns,
-            kind="multibutterfly",
-        )
 
     def __init__(
         self,

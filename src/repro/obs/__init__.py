@@ -26,14 +26,13 @@ from __future__ import annotations
 
 from typing import Any, Dict, Optional
 
-from repro.obs.metrics import MetricsRegistry, RunnerCounters
+from repro.obs.metrics import MetricsRegistry
 from repro.obs.profile import KernelProfile
 from repro.obs.tracer import TraceEvent, Tracer, format_timeline
 
 __all__ = [
     "KernelProfile",
     "MetricsRegistry",
-    "RunnerCounters",
     "TraceEvent",
     "Tracer",
     "format_timeline",

@@ -30,45 +30,10 @@ from typing import Any, Dict, List, TextIO, Tuple, Union
 
 from repro.errors import ConfigurationError
 
-__all__ = ["MetricsRegistry", "RunnerCounters"]
+__all__ = ["MetricsRegistry"]
 
 DEFAULT_WINDOW_NS = 1000.0
 """Default aggregation window (1 us of simulated time)."""
-
-
-class RunnerCounters:
-    """Execution-layer counters for the sweep engine's fault machinery.
-
-    Where :class:`MetricsRegistry` observes the *simulated* network,
-    ``RunnerCounters`` observes the *execution layer*: retries, worker
-    crashes, pool rebuilds, timeouts, quarantines, serial fallbacks.
-    :func:`~repro.runner.engine.run_sweep` keeps one per sweep and copies
-    its snapshot into ``SweepReport.counters``, so dashboards and CI
-    artifacts see how much supervision a campaign needed even when every
-    job ultimately succeeded.
-
-    Deliberately tiny: name -> monotone count, sorted on export.
-    """
-
-    def __init__(self) -> None:
-        self._counts: Dict[str, int] = {}
-
-    def incr(self, name: str, n: int = 1) -> None:
-        """Add ``n`` to counter ``name`` (created at 0 on first use)."""
-        self._counts[name] = self._counts.get(name, 0) + n
-
-    def count(self, name: str) -> int:
-        """Current value of ``name`` (0 if never incremented)."""
-        return self._counts.get(name, 0)
-
-    def snapshot(self) -> Dict[str, int]:
-        """JSON-safe sorted copy of every nonzero counter."""
-        return {name: self._counts[name] for name in sorted(self._counts)}
-
-    def describe(self) -> str:
-        """One-line human summary."""
-        parts = [f"{k}={v}" for k, v in sorted(self._counts.items())]
-        return f"RunnerCounters({', '.join(parts) or 'empty'})"
 
 
 class MetricsRegistry:

@@ -49,7 +49,6 @@ from typing import (
 )
 
 from repro.errors import ConfigurationError, SweepExecutionError
-from repro.obs.metrics import RunnerCounters
 from repro.runner.cache import ResultCache
 from repro.runner.faults import WorkerFaultPlan
 from repro.runner.jobs import execute_job
@@ -129,7 +128,6 @@ class SweepReport:
     worker_crashes: int = 0
     pool_rebuilds: int = 0
     fallback: Optional[str] = None
-    counters: Dict[str, int] = field(default_factory=dict)
 
     @property
     def sim_time_s(self) -> float:
@@ -286,7 +284,6 @@ class _SweepState:
         policy: FaultPolicy,
         plan: Optional[WorkerFaultPlan],
         report: SweepReport,
-        counters: RunnerCounters,
         progress: Optional[ProgressFn],
         cache: Optional[ResultCache],
         cache_keys: List[Optional[str]],
@@ -296,7 +293,6 @@ class _SweepState:
         self.policy = policy
         self.plan = plan
         self.report = report
-        self.counters = counters
         self.progress = progress
         self.cache = cache
         self.cache_keys = cache_keys
@@ -395,7 +391,6 @@ class _SweepState:
             self.report.quarantined += 1
         else:
             self.report.failed += 1
-        self.counters.incr(f"jobs_{status}")
         self._finished(i)
 
     # -- failure/crash accounting --------------------------------------------
@@ -414,7 +409,6 @@ class _SweepState:
             self.finish_bad(i, status, error_type, message, exc=exc)
             return None
         self.report.retries += 1
-        self.counters.incr("retries")
         delay = self.policy.backoff_s(key, self.dispatches[i] + 1)
         self.emit({
             "event": "retry", "key": key,
@@ -482,7 +476,6 @@ def run_sweep(
     expanded = spec.expand()
     start = time.perf_counter()
     report = SweepReport(n_jobs=len(expanded), workers=workers)
-    counters = RunnerCounters()
 
     journal: Optional[SweepJournal] = None
     resumed_records: Dict[str, Dict[str, Any]] = {}
@@ -491,8 +484,8 @@ def run_sweep(
         resumed_records = journal.load()
 
     cache_keys: List[Optional[str]] = [None] * len(expanded)
-    state = _SweepState(expanded, policy, fault_plan, report, counters,
-                        progress, cache, cache_keys, journal)
+    state = _SweepState(expanded, policy, fault_plan, report, progress,
+                        cache, cache_keys, journal)
     to_run: List[int] = []
 
     try:
@@ -502,7 +495,6 @@ def run_sweep(
             record = resumed_records.get(job.key)
             if record is not None:
                 report.resumed += 1
-                counters.incr("jobs_resumed")
                 state.finish_ok(i, record, 0.0, resumed=True)
                 continue
             if cache is not None:
@@ -532,7 +524,6 @@ def run_sweep(
     if cache is not None:
         report.poisoned = cache.poisoned
     report.elapsed_s = time.perf_counter() - start
-    report.counters = counters.snapshot()
 
     outcomes: List[JobOutcome] = []
     for i, job in enumerate(expanded):
@@ -626,7 +617,6 @@ def _run_parallel(state: _SweepState, to_run: List[int],
             RuntimeWarning,
             stacklevel=3,
         )
-        state.counters.incr("serial_fallbacks")
         state.emit({"event": "fallback", "mode": "serial",
                     "reason": "process pool unavailable"})
         return False
@@ -650,7 +640,6 @@ def _run_parallel(state: _SweepState, to_run: List[int],
         pool = None
         rebuilds += 1
         state.report.pool_rebuilds += 1
-        state.counters.incr("pool_rebuilds")
         state.emit({"event": "pool-rebuild", "reason": reason,
                     "rebuilds": rebuilds})
         if rebuilds > policy.max_pool_rebuilds:
@@ -769,7 +758,6 @@ def _run_parallel(state: _SweepState, to_run: List[int],
 
             if crashed:
                 state.report.worker_crashes += 1
-                state.counters.incr("worker_crashes")
                 # Crashes cannot be attributed precisely: every in-flight
                 # job advances its crash counter and is re-dispatched
                 # alone (see suspects).
@@ -802,7 +790,6 @@ def _run_parallel(state: _SweepState, to_run: List[int],
                     for future, i, started in expired:
                         del in_flight[future]
                         state.elapsed[i] = now - started
-                        state.counters.incr("job_timeouts")
                         state.finish_bad(
                             i, "timeout", "JobTimeout",
                             f"still running after "

@@ -21,12 +21,10 @@ byte-identical.
 from __future__ import annotations
 
 import heapq
-from typing import TYPE_CHECKING, Any, Callable, Iterable, List, Optional, Tuple
+from typing import Any, Callable, Iterable, List, Optional, Tuple
 
 from repro.errors import SimulationError
-
-if TYPE_CHECKING:
-    from repro.obs.profile import KernelProfile
+from repro.obs.profile import KernelProfile
 
 __all__ = ["Environment"]
 
@@ -81,8 +79,6 @@ class Environment:
         simulation results (wall times are reported, never consumed).
         """
         if self._profile is None:
-            from repro.obs.profile import KernelProfile
-
             self._profile = KernelProfile()
         return self._profile
 

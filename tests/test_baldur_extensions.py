@@ -4,6 +4,7 @@ import pytest
 
 from repro.core import BaldurNetwork, probe_outcomes, run_diagnosis
 from repro.errors import ConfigurationError
+from repro.faults import FailStop, FaultInjector
 
 
 class TestFaultInjection:
@@ -31,6 +32,16 @@ class TestFaultInjection:
             net.inject_fault(99, 0)
         with pytest.raises(ConfigurationError):
             net.inject_fault(0, 99)
+
+    def test_inject_fault_adds_to_attached_injector(self):
+        net = BaldurNetwork(16, multiplicity=2, seed=0)
+        injector = FaultInjector([FailStop(net.flat_switch_id(1, 2))])
+        net.attach_faults(injector)
+        net.inject_fault(0, 0)
+        assert net.fault_injector is injector
+        assert sorted(f.switch_id for f in injector.faults) == [
+            net.flat_switch_id(0, 0), net.flat_switch_id(1, 2),
+        ]
 
     def test_retransmission_does_not_mask_hard_fault(self):
         # A fault on the only deterministic path: retransmission retries

@@ -21,6 +21,8 @@ from repro.analysis.experiments import (
     pattern_destinations,
     run_open_loop,
 )
+from repro.analysis.resilience import degraded_mode_comparison
+from repro.core.diagnosis import run_diagnosis
 from repro.netsim.stats import StatsSummary
 from repro.obs import MetricsRegistry, Tracer
 from repro.traffic.injection import inject_open_loop
@@ -77,6 +79,53 @@ def _sha(payload) -> str:
     return hashlib.sha256(
         json.dumps(payload, sort_keys=True, allow_nan=False).encode()
     ).hexdigest()
+
+
+def _inject_fault_cells() -> dict:
+    """Every user of ``BaldurNetwork.inject_fault``: diagnosis with one
+    and with two faults, the degraded-mode comparison, and a contended
+    open-loop cell with two faulted switches, unmasked and masked."""
+
+    def open_loop(masked: bool) -> dict:
+        seed = 3
+        net = build_network("baldur", CELL["n_nodes"], seed)
+        for stage, switch in ((2, 5), (4, 20)):
+            net.inject_fault(stage, switch)
+            if masked:
+                net.mask_switch(stage, switch)
+        destinations = pattern_destinations(
+            CELL["pattern"], CELL["n_nodes"], seed
+        )
+        inject_open_loop(
+            net, destinations, CELL["load"], CELL["packets_per_node"],
+            seed=seed,
+        )
+        return StatsSummary.from_stats(net.run()).to_dict()
+
+    return {
+        "diagnosis_one": run_diagnosis(64, faulty=(2, 13), n_probes=200,
+                                       seed=3),
+        "diagnosis_two": run_diagnosis(64, faulty=[(1, 5), (3, 20)],
+                                       n_probes=64, seed=3),
+        "degraded": degraded_mode_comparison(
+            n_nodes=32, packets_per_node=10, seed=0
+        ),
+        "open_loop": open_loop(masked=False),
+        "open_loop_masked": open_loop(masked=True),
+    }
+
+
+class TestInjectFaultIdentity:
+    """``inject_fault`` results are pinned to a digest recorded while the
+    faulted switches were a private set checked ahead of the attached
+    fault injector; they now are ``FailStop`` faults on that injector."""
+
+    DIGEST = (
+        "a49cfd6741185597791dce47c4ae58230eac7b425d3e2d954f59d476474f1650"
+    )
+
+    def test_digest_matches_recorded(self):
+        assert _sha(_inject_fault_cells()) == self.DIGEST
 
 
 # Degraded-mode masks on the 64-node (6-stage, 32 switches per stage)

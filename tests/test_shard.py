@@ -117,13 +117,6 @@ class TestRefusal:
                            match="flow-control credits"):
             net.run(shards=2)
 
-    @pytest.mark.parametrize("network", ELECTRICAL)
-    def test_electrical_plans_still_introspect(self, network):
-        # The partition itself is well-formed; only execution is vetoed.
-        plan = build_network(network, 16, 0).shard_plan(2)
-        plan.validate()
-        assert plan.lookahead_ns > 0
-
     def test_attached_tracer_refuses(self):
         from repro.obs import Tracer
 

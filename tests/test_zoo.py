@@ -1,12 +1,12 @@
-"""Architecture-zoo tests: registry↔legacy identity, rotor behaviour,
-and registry/config validation.
+"""Architecture-zoo tests: table↔constructor identity, rotor behaviour,
+and name validation.
 
-The identity suite is the zoo's load-bearing guarantee: for every one of
-the five Sec. V architectures, a registry-built network must produce
-**byte-identical** ``StatsSummary`` canonical JSON to the hand-wired
-class on the fig6/fig7 golden cells.  Tolerances would hide drift; the
-comparison is string equality on the serialized summary (including the
-latency digest, i.e. trace equality).
+The identity suite is the zoo's load-bearing guarantee: for every row of
+the architecture table, a network built by name must produce
+**byte-identical** ``StatsSummary`` canonical JSON to the directly
+constructed class on the fig6/fig7 golden cells.  Tolerances would hide
+drift; the comparison is string equality on the serialized summary
+(including the latency digest, i.e. trace equality).
 """
 
 import pytest
@@ -37,6 +37,7 @@ LEGACY = {
     "dragonfly": lambda n, seed: DragonflyNetwork(n, seed=seed),
     "fattree": lambda n, seed: FatTreeNetwork(n, seed=seed),
     "ideal": lambda n, seed: IdealNetwork(n),
+    "rotor": lambda n, seed: RotorNetwork(n),
 }
 
 
@@ -53,7 +54,7 @@ def summary_json(network, pattern, load, n_nodes, packets_per_node, seed):
     return canonical_json(StatsSummary.from_stats(stats).to_dict())
 
 
-# -- registry↔legacy identity ---------------------------------------------------
+# -- table↔constructor identity --------------------------------------------------
 
 
 @pytest.mark.parametrize("name", LEGACY)
@@ -101,7 +102,22 @@ def test_experiments_build_network_goes_through_registry():
     assert isinstance(net, RotorNetwork)
 
 
-# -- registry resolution and validation -----------------------------------------
+def test_experiments_build_network_looks_up_zoo_at_call_time(monkeypatch):
+    # Wrappers installed on repro.zoo.build_network (perfbench's build
+    # span) must see every experiment build.
+    from repro.analysis.experiments import build_network
+
+    calls = []
+    real = zoo.build_network
+    monkeypatch.setattr(
+        zoo, "build_network",
+        lambda *args, **kwargs: calls.append(args) or real(*args, **kwargs),
+    )
+    build_network("ideal", 16, seed=0)
+    assert calls == [("ideal", 16)]
+
+
+# -- name resolution and validation ----------------------------------------------
 
 
 def test_registered_architectures():
@@ -114,73 +130,14 @@ def test_registered_architectures():
 def test_unknown_architecture_lists_known_names():
     with pytest.raises(ConfigurationError, match="baldur.*rotor"):
         zoo.build_network("torus", 16)
-
-
-def test_unknown_component_lists_known_names():
-    with pytest.raises(ConfigurationError, match="unknown topology"):
-        zoo.TOPOLOGIES.get("torus")
-
-
-def test_config_dict_with_architecture_key_and_overrides():
-    net = zoo.build_network({"architecture": "rotor", "n_rotors": 8}, 16)
-    assert isinstance(net, RotorNetwork)
-    assert net.n_rotors == 8
-
-
-def test_config_dict_with_component_quadruple():
-    net = zoo.build_network(
-        {
-            "topology": "dragonfly",
-            "routing": "ugal_adaptive",
-            "switch": "electrical_buffered",
-            "scheduler": "event_driven",
-        },
-        16,
-        seed=1,
-    )
-    assert isinstance(net, DragonflyNetwork)
-
-
-def test_config_dict_unmatched_quadruple_raises():
-    with pytest.raises(ConfigurationError, match="no registered"):
-        zoo.build_network(
-            {
-                "topology": "dragonfly",
-                "routing": "direct",
-                "switch": "ideal_sink",
-                "scheduler": "event_driven",
-            },
-            16,
-        )
-
-
-def test_config_dict_without_architecture_or_quadruple_raises():
-    with pytest.raises(ConfigurationError, match="architecture"):
-        zoo.build_network({"topology": "dragonfly"}, 16)
+    # An old-style config dict is not a name either.
+    with pytest.raises(ConfigurationError, match="baldur.*rotor"):
+        zoo.build_network({"architecture": "rotor"}, 16)
 
 
 def test_config_rejects_non_str_non_dict():
     with pytest.raises(ConfigurationError, match="must be"):
         zoo.build_network(42, 16)
-
-
-def test_spec_describe_names_all_four_components():
-    spec = zoo.architecture("rotor")
-    assert spec.describe() == (
-        "rotor: rotor x rotation_schedule x rotor_crossbar x "
-        "matching_cycle"
-    )
-    assert [c.kind for c in spec.components()] == [
-        "topology", "routing", "switch", "scheduler",
-    ]
-
-
-def test_duplicate_registration_rejected():
-    with pytest.raises(ConfigurationError, match="already registered"):
-        zoo.register_architecture(
-            "baldur", "ideal", "direct", "ideal_sink", "event_driven",
-            builder=lambda n, seed: None,
-        )
 
 
 # -- rotor topology --------------------------------------------------------------
@@ -273,7 +230,7 @@ def test_rotor_single_hop():
 
 
 def test_rotor_oversized_packet_rejected():
-    net = zoo.build_network("rotor", 16, seed=0, slot_ns=10.0)
+    net = RotorNetwork(16, slot_ns=10.0)
     net.submit(0, 1, time=0.0)
     with pytest.raises(ConfigurationError, match="wire"):
         net.run()
@@ -286,6 +243,11 @@ def test_rotor_mid_slot_arrival_uses_current_matching():
     packet = net.submit(0, 1, time=0.5)
     net.run()
     assert packet.deliver_time < net.topology.slots_per_cycle * net.slot_ns
+
+
+def test_rotor_n_rotors_parameter():
+    net = RotorNetwork(16, n_rotors=8)
+    assert net.n_rotors == 8 == net.topology.n_rotors
 
 
 def test_rotor_config_validation():
