@@ -554,6 +554,16 @@ class BaldurNetwork(NetworkSimulator):
             latency += injector.extra_latency_ns(flat, now)
         # Delays below are sums of non-negative model constants, so an
         # unvalidated inline heap push (saving a call per hop) is safe.
+        #
+        # The stage-to-stage hop goes on the kernel's lane instead (see
+        # Environment._lane) whenever its delay is the fixed switch
+        # latency, i.e. no fault injector adds extra_latency_ns.  The
+        # lane must stay sorted by (time, seq), and it does: this method
+        # is its only writer, it runs at non-decreasing dispatch times
+        # ``now``, ``switch_latency`` is a per-network constant and IEEE
+        # addition is monotone, so ``now + switch_latency`` never
+        # decreases; ``seq`` strictly increases.  Appending is therefore
+        # an ordered insert, and dispatch order is exactly the heap's.
         seq = env._seq
         env._seq = seq + 1
         ctx = self._shard_ctx
@@ -568,6 +578,11 @@ class BaldurNetwork(NetworkSimulator):
                     env._queue,
                     (now + (latency + link_delay + tx), seq,
                      self._deliver, (packet,)),
+                )
+            elif injector is None:
+                env._lane.append(
+                    (now + latency, seq,
+                     self._arrive_stage, (packet, stage + 1, targets[k])),
                 )
             else:
                 heappush(
@@ -594,8 +609,9 @@ class BaldurNetwork(NetworkSimulator):
         else:
             dest = ctx.stage_shard[stage + 1]
             if dest == ctx.shard:
-                heappush(
-                    env._queue,
+                # Sharded runs refuse fault injectors, so the delay is the
+                # fixed switch latency and the lane argument above holds.
+                env._lane.append(
                     (now + latency, seq,
                      self._arrive_stage, (packet, stage + 1, targets[k])),
                 )

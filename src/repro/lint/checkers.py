@@ -78,6 +78,10 @@ FAST_PATH_ALLOWLIST = frozenset({
     # PR 4's audited open-coded pushes (delays are sums of non-negative
     # model constants; see the inline safety comments at each site).
     ("repro.core.baldur_network", "BaldurNetwork._transmit"),
+    # _arrive_stage also appends its stage-to-stage hop to the kernel
+    # lane, the lane's only writer: at fixed switch latency (no fault
+    # injector) its keys now + switch_latency never decrease because
+    # dispatch times never do, and seq strictly increases.
     ("repro.core.baldur_network", "BaldurNetwork._arrive_stage"),
 })
 """(module, qualname) pairs allowed to bypass kernel delay validation.
@@ -472,10 +476,11 @@ def check_slots(src: SourceFile) -> Iterator[Finding]:
 # -- FAST-001 ----------------------------------------------------------------
 
 
-def _queue_aliases(scope: ast.AST) -> Tuple[Set[str], Set[str]]:
-    """(names bound to ``*._queue``, names bound to ``heapq.heappush``)."""
+def _queue_aliases(scope: ast.AST) -> Tuple[Set[str], Set[str], Set[str]]:
+    """(names bound to ``*._queue``, to ``heapq.heappush``, to ``*._lane``)."""
     queues: Set[str] = set()
     pushes: Set[str] = set()
+    lanes: Set[str] = set()
     for node in ast.walk(scope):
         if not isinstance(node, ast.Assign):
             continue
@@ -489,7 +494,9 @@ def _queue_aliases(scope: ast.AST) -> Tuple[Set[str], Set[str]]:
             queues.update(targets)
         elif isinstance(value, ast.Attribute) and value.attr == "heappush":
             pushes.update(targets)
-    return queues, pushes
+        elif isinstance(value, ast.Attribute) and value.attr == "_lane":
+            lanes.update(targets)
+    return queues, pushes, lanes
 
 
 def fast_path_sites(
@@ -498,23 +505,32 @@ def fast_path_sites(
     """Every candidate fast-path push in ``src``.
 
     Yields ``(qualname, call_node, kind)`` with ``kind`` one of
-    ``"_push"`` / ``"heappush"``.  FAST-001 flags the sites missing from
-    :data:`FAST_PATH_ALLOWLIST`; STALE-001 (``repro.lint.flow``) flags
-    the allowlist entries matching none of these sites, so both rules
-    share one definition of "site" and cannot drift.
+    ``"_push"`` / ``"heappush"`` / ``"lane"`` (an ``.append`` onto the
+    kernel's ``*._lane`` FIFO, or onto a name bound to it).  FAST-001
+    flags the sites missing from :data:`FAST_PATH_ALLOWLIST`; STALE-001
+    (``repro.lint.flow``) flags the allowlist entries matching none of
+    these sites, so both rules share one definition of "site" and cannot
+    drift.
     """
     imports = ImportMap(src.tree)
-    # Conservative whole-file alias sets: a name bound to ``*._queue`` or
-    # ``heapq.heappush`` anywhere marks it suspect everywhere (no
-    # per-scope dataflow; over-flagging is the safe direction here, and
-    # the escape hatch is the allowlist, not evasion).
-    queue_names, push_names = _queue_aliases(src.tree)
+    # Conservative whole-file alias sets: a name bound to ``*._queue``,
+    # ``*._lane`` or ``heapq.heappush`` anywhere marks it suspect
+    # everywhere (no per-scope dataflow; over-flagging is the safe
+    # direction here, and the escape hatch is the allowlist, not evasion).
+    queue_names, push_names, lane_names = _queue_aliases(src.tree)
     for node, qual in walk_with_qualname(src.tree):
         if not isinstance(node, ast.Call):
             continue
         func = node.func
         if isinstance(func, ast.Attribute) and func.attr == "_push":
             yield qual, node, "_push"
+            continue
+        if isinstance(func, ast.Attribute) and func.attr == "append":
+            owner = func.value
+            if (
+                isinstance(owner, ast.Attribute) and owner.attr == "_lane"
+            ) or (isinstance(owner, ast.Name) and owner.id in lane_names):
+                yield qual, node, "lane"
             continue
         is_heappush = imports.resolve(func) == "heapq.heappush" or (
             isinstance(func, ast.Name) and func.id in push_names
@@ -536,10 +552,11 @@ def fast_path_sites(
 def check_fast_path(src: SourceFile) -> Iterator[Finding]:
     """Keep ``Environment._push`` / open-coded heap pushes enumerable.
 
-    ``_push`` and direct ``heappush(env._queue, ...)`` skip the kernel's
-    NaN/negative-delay validation; each such call site must be audited
-    (delay provably finite and >= now) and listed in
-    :data:`FAST_PATH_ALLOWLIST`.  Anything else should call
+    ``_push``, direct ``heappush(env._queue, ...)`` and
+    ``env._lane.append(...)`` skip the kernel's NaN/negative-delay
+    validation; each such call site must be audited (delay provably
+    finite and >= now, and for the lane: keys that never decrease) and
+    listed in :data:`FAST_PATH_ALLOWLIST`.  Anything else should call
     ``Environment.schedule``/``schedule_at``/``schedule_batch``.
     """
     for qual, node, kind in fast_path_sites(src):
@@ -550,6 +567,15 @@ def check_fast_path(src: SourceFile) -> Iterator[Finding]:
                 "FAST-001",
                 node,
                 "Environment._push bypasses delay validation; call "
+                "schedule()/schedule_at() or add this audited site "
+                "to repro.lint.checkers.FAST_PATH_ALLOWLIST",
+            )
+        elif kind == "lane":
+            yield src.finding(
+                "FAST-001",
+                node,
+                "appending to the kernel lane bypasses validation and "
+                "must keep its (time, seq) keys non-decreasing; call "
                 "schedule()/schedule_at() or add this audited site "
                 "to repro.lint.checkers.FAST_PATH_ALLOWLIST",
             )

@@ -590,6 +590,7 @@ class NetworkSimulator:
         self._next_pid = max(p["next_pid"] for p in payloads)
         env = self.env
         env._queue.clear()
+        env._lane.clear()
         env._run = []
         env._ridx = 0
         env._now = (

@@ -7,7 +7,9 @@ is enabled on an :class:`~repro.sim.Environment` via
 dispatched callback:
 
 * ``events_dispatched`` -- total queue pops;
-* ``max_heap_depth`` -- peak event-queue length (memory pressure proxy);
+* ``max_heap_depth`` -- peak number of pending events, counting all of
+  the kernel's sorted sources (heap, batch side list and lane) and the
+  event being dispatched (memory pressure proxy);
 * per-callback-type call counts and accumulated wall time, keyed by the
   callback's ``__qualname__`` (``BaldurNetwork._arrive_stage``,
   ``OutputPort._on_sent``, ...), which is exactly the breakdown needed to
@@ -83,7 +85,7 @@ class KernelProfile:
         """Multi-line human summary (hottest callbacks first)."""
         lines = [
             f"kernel: {self.events_dispatched} events dispatched, "
-            f"peak heap depth {self.max_heap_depth}"
+            f"peak queue depth {self.max_heap_depth}"
         ]
         for name, wall, calls in self.hottest():
             lines.append(f"  {wall * 1e3:9.2f} ms  {calls:>9} calls  {name}")

@@ -253,12 +253,14 @@ def _extract_injections(net: Any, plan: ShardPlan) -> List[_Injections]:
 
     ``submit``/``submit_batch`` leave ``(when, seq, net._inject, (packet,))``
     entries on the environment's batch side-list and/or heap.  Anything
-    else pending means the caller scheduled custom events the shards
+    else pending, on those or on the kernel's lane, means the caller scheduled custom events the shards
     cannot replay — refuse loudly.
     """
     env = net.env
     entries: List[Tuple[float, int, Any]] = []
-    pending = list(env._queue) + list(env._run[env._ridx :])
+    pending = (
+        list(env._queue) + list(env._run[env._ridx :]) + list(env._lane)
+    )
     for item in pending:
         when, seq, fn, args = item
         if fn != net._inject or len(args) != 1:

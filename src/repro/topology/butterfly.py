@@ -17,7 +17,8 @@ differ).
 
 from __future__ import annotations
 
-from typing import List, Sequence, Tuple
+from math import ceil, log
+from typing import List, Sequence, Set, Tuple
 
 from repro.errors import TopologyError
 from repro.sim.rand import stream
@@ -82,8 +83,25 @@ class MultiButterflyTopology:
         return range(start, start + next_switch_block)
 
     def _build_wiring(self) -> List[List[Tuple[List[int], List[int]]]]:
+        """Draw every port's next-stage switch from the wiring stream.
+
+        The candidates of a (switch, direction) are a ``range`` of the
+        next stage's sub-block: ``rng.sample`` and ``rng.choice`` only
+        index a sequence, so no per-switch candidate list is built.  Above
+        ``sample``'s set-selection threshold its loop is inlined verbatim
+        (CPython's ``Random.sample`` set branch with ``_randbelow``
+        unrolled: draw ``bit_length(n)`` bits until the value is below
+        ``n`` and not yet picked), so the draws -- and the wiring -- are
+        exactly those of ``rng.sample``.
+        """
         rng = stream(self.seed, "multibutterfly-wiring")
+        getrandbits = rng.getrandbits
         m = self.multiplicity
+        # random.sample's setsize: it tracks picks in a set (the branch
+        # inlined below) exactly when the population is larger than this.
+        setsize = 21
+        if m > 5:
+            setsize += 4 ** ceil(log(m * 3, 4))
         wiring: List[List[Tuple[List[int], List[int]]]] = []
         for stage in range(self.n_stages - 1):
             switches_per_block = (self.n_nodes >> stage) // 2
@@ -92,20 +110,32 @@ class MultiButterflyTopology:
                 block = i // switches_per_block
                 per_direction = []
                 for bit in (0, 1):
-                    candidates = list(
-                        self._sub_block_switches(stage, block, bit)
-                    )
+                    candidates = self._sub_block_switches(stage, block, bit)
+                    n = len(candidates)
                     if not self.randomize:
                         # Structured wiring: round-robin by switch index.
-                        targets = [
-                            candidates[(i + k) % len(candidates)]
-                            for k in range(m)
-                        ]
-                    elif len(candidates) >= m:
+                        targets = [candidates[(i + k) % n] for k in range(m)]
+                    elif n > setsize:
+                        start = candidates.start
+                        nbits = n.bit_length()
+                        selected: Set[int] = set()
+                        targets = []
+                        for _ in range(m):
+                            j = getrandbits(nbits)
+                            while j >= n or j in selected:
+                                j = getrandbits(nbits)
+                            selected.add(j)
+                            targets.append(start + j)
+                    elif n >= m:
                         targets = rng.sample(candidates, m)
                     else:
                         # Tiny sub-blocks near the output: reuse switches.
-                        targets = [rng.choice(candidates) for _ in range(m)]
+                        # Picks from this n < m list share its int
+                        # objects; indexing the range would make a new
+                        # int per pick (about 0.6 MB more at 4,096
+                        # nodes, m=4).
+                        pool = list(candidates)
+                        targets = [rng.choice(pool) for _ in range(m)]
                     per_direction.append(targets)
                 stage_wiring.append(tuple(per_direction))
             wiring.append(stage_wiring)

@@ -14,3 +14,7 @@ def sneak(env, fn, delay):
 def sneak_alias(env, fn, delay):
     queue = env._queue
     heappush(queue, (env._now + delay, 0, fn, ()))
+
+
+def sneak_lane(env, fn, delay):
+    env._lane.append((env._now + delay, 0, fn, ()))

@@ -68,7 +68,7 @@ class TestRuleFixtures:
         ("CLK-001", SIM / "clock_bad.py", SIM / "clock_clean.py", 3),
         ("DET-001", SIM / "det_bad.py", SIM / "det_clean.py", 2),
         ("SLOTS-001", NETSIM / "slots_bad.py", NETSIM / "slots_clean.py", 1),
-        ("FAST-001", SIM / "fast_bad.py", SIM / "fast_clean.py", 3),
+        ("FAST-001", SIM / "fast_bad.py", SIM / "fast_clean.py", 4),
         ("JSON-001", RUNNER / "json_bad.py", RUNNER / "json_clean.py", 2),
         ("SEED-001", BENCH / "seed_bad.py", BENCH / "seed_clean.py", 3),
         ("MERGE-001", SHARD / "merge_bad.py", SHARD / "merge_clean.py", 3),
@@ -92,6 +92,22 @@ class TestRuleFixtures:
         for _, _, clean, _ in self.CASES:
             report = run_lint([clean], exclude_dirs=())
             assert report.findings == [], clean.name
+
+    def test_fast_path_sees_lane_aliases(self, tmp_path):
+        # A name bound to the kernel lane is as suspect as the attribute;
+        # an append to any other list is not a fast path.
+        src = tmp_path / "src" / "repro" / "sim" / "mod.py"
+        src.parent.mkdir(parents=True)
+        src.write_text(
+            "def f(env, fn, log):\n"
+            "    lane = env._lane\n"
+            "    lane.append((env._now, 0, fn, ()))\n"
+            "    log.append(fn)\n"
+        )
+        report = run_lint([src], select=["FAST-001"], exclude_dirs=())
+        assert [(f.rule, f.line) for f in report.findings] == [
+            ("FAST-001", 3)
+        ]
 
     def test_findings_carry_fixture_module_names(self):
         # The src anchor inside lint_fixtures maps fixtures to repro.*
@@ -290,6 +306,18 @@ class TestStaleAllowlists:
         monkeypatch.setattr(
             checkers, "FAST_PATH_ALLOWLIST",
             frozenset({("repro.sim.fast_bad", "hurry")}),
+        )
+        report = run_lint(
+            [SIM / "fast_bad.py"], select=["STALE-001"], exclude_dirs=()
+        )
+        assert report.findings == []
+
+    def test_fast_allowlist_entry_matching_a_lane_site_is_live(
+        self, monkeypatch
+    ):
+        monkeypatch.setattr(
+            checkers, "FAST_PATH_ALLOWLIST",
+            frozenset({("repro.sim.fast_bad", "sneak_lane")}),
         )
         report = run_lint(
             [SIM / "fast_bad.py"], select=["STALE-001"], exclude_dirs=()

@@ -147,6 +147,24 @@ class TestRefusal:
         with pytest.raises(ShardingUnsupportedError):
             net.run(shards=2)
 
+    def test_pending_custom_event_refuses(self):
+        net = _cell("baldur")
+        net.env.schedule(1.0, lambda: None)
+        with pytest.raises(ShardingUnsupportedError, match="injections"):
+            net.run(shards=2)
+
+    def test_pending_lane_entry_refuses(self):
+        # The kernel lane is a pending source too: a stage hop left on it
+        # cannot be replayed by the shards, so it must not be dropped.
+        net = _cell("baldur")
+        env = net.env
+        seq = env._seq
+        env._seq = seq + 1
+        hop = (net.switch_latency_ns, seq, lambda: None, ())
+        env._lane.append(hop)  # repro-lint: disable=FAST-001
+        with pytest.raises(ShardingUnsupportedError, match="injections"):
+            net.run(shards=2)
+
 
 class TestRunnerIntegration:
     def test_workload_kind_rejects_shards(self):

@@ -274,14 +274,26 @@ class TestScheduleBatch:
 # tie-breaks) and events exactly at a window boundary are common.
 _TIMES = st.sampled_from([0.0, 0.5, 1.0, 2.0]) | st.floats(0.0, 10.0)
 # How a callback schedules its children: one schedule() each, one
-# schedule_at() each, or all of them in one schedule_batch().
+# schedule_at() each, all of them in one schedule_batch(), or one lane
+# append each (at the program's fixed lane delay; the drawn delays then
+# only set the child count).
 _SPAWN = st.tuples(
-    st.sampled_from(["schedule", "schedule_at", "batch"]),
+    st.sampled_from(["schedule", "schedule_at", "batch", "lane"]),
     st.lists(_TIMES, min_size=1, max_size=3),
 )
+# The lane's one fixed delay per program, as Baldur's switch latency is.
+_LANE_DELAY = st.sampled_from([0.0, 0.5, 1.5]) | st.floats(0.0, 5.0)
 
 
-def _drive(roots, program, windows):
+def _lane_push(env, when, fn, *args):
+    """Append to the kernel lane as ``BaldurNetwork._arrive_stage`` does:
+    unvalidated, consuming the next ``seq``."""
+    seq = env._seq
+    env._seq = seq + 1
+    env._lane.append((when, seq, fn, args))  # repro-lint: disable=FAST-001
+
+
+def _drive(roots, program, windows, lane_delay, lane_as_schedule=False):
     """Run one random callback program.
 
     Returns the dispatch log, the log length after each window, and the
@@ -289,6 +301,10 @@ def _drive(roots, program, windows):
     Callback ``c`` logs ``(now, c)`` and, while ``c < len(program)``,
     schedules the children ``program[c]`` describes.  ``windows`` are
     the ``run(until=t)`` calls made before the final unbounded ``run()``.
+    ``"lane"`` children are appended to the kernel lane at
+    ``now + lane_delay`` exactly as ``BaldurNetwork._arrive_stage`` does,
+    or, with ``lane_as_schedule``, go through ``schedule(lane_delay)``:
+    the simple reference the lane must match.
     """
     env = Environment()
     log = []
@@ -308,8 +324,14 @@ def _drive(roots, program, windows):
         elif kind == "schedule_at":
             for when, fn, args in entries:
                 env.schedule_at(when, fn, *args)
-        else:
+        elif kind == "batch":
             env.schedule_batch(entries)
+        elif lane_as_schedule:
+            for j in range(len(delays)):
+                env.schedule(lane_delay, fire, first + j)
+        else:
+            for j in range(len(delays)):
+                _lane_push(env, env.now + lane_delay, fire, first + j)
 
     def fire(cid):
         log.append((env.now, cid))
@@ -332,12 +354,16 @@ class TestOneDrainLoop:
         program=st.lists(_SPAWN, max_size=25),
         windows=st.lists(st.sampled_from([0.5, 1.0, 2.0, 3.0, 8.0])
                          | st.floats(0.0, 30.0), max_size=6),
+        lane_delay=_LANE_DELAY,
     )
     @settings(max_examples=200, deadline=None)
-    def test_windows_match_one_run(self, roots, program, windows):
+    def test_windows_match_one_run(self, roots, program, windows,
+                                   lane_delay):
         windows = sorted(windows)
-        once, _, now_once = _drive(roots, program, [])
-        windowed, done, now_windowed = _drive(roots, program, windows)
+        once, _, now_once = _drive(roots, program, [], lane_delay)
+        windowed, done, now_windowed = _drive(
+            roots, program, windows, lane_delay
+        )
         assert windowed == once
         times = [when for when, _ in once]
         assert times == sorted(times)
@@ -346,3 +372,68 @@ class TestOneDrainLoop:
         assert now_once == times[-1]
         # A window past the last event leaves the clock at its end.
         assert now_windowed == max([now_once, *windows])
+
+
+class TestLane:
+    """The lane is an ordered insert for non-decreasing keys: dispatch
+    must equal the plain heap's, and every query must see it."""
+
+    @given(
+        roots=st.lists(_SPAWN, min_size=1, max_size=4),
+        program=st.lists(_SPAWN, max_size=25),
+        windows=st.lists(st.sampled_from([0.5, 1.0, 2.0, 3.0, 8.0])
+                         | st.floats(0.0, 30.0), max_size=6),
+        lane_delay=_LANE_DELAY,
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_lane_matches_schedule(self, roots, program, windows,
+                                   lane_delay):
+        windows = sorted(windows)
+        lane = _drive(roots, program, windows, lane_delay)
+        heap = _drive(roots, program, windows, lane_delay,
+                      lane_as_schedule=True)
+        assert lane == heap
+
+    def test_peek_and_empty_see_a_lane_only_event(self):
+        env = Environment()
+        fired = []
+        _lane_push(env, 2.5, fired.append, 2.5)
+        assert not env.empty()
+        assert env.peek() == 2.5
+        env.schedule(4.0, fired.append, 4.0)
+        assert env.peek() == 2.5
+        env.run(until=3.0)
+        assert fired == [2.5]
+        assert env.peek() == 4.0
+        env.run()
+        assert fired == [2.5, 4.0]
+        assert env.empty()
+        assert env.peek() == float("inf")
+
+    def test_batch_into_lane_only_kernel_keeps_merge_order(self):
+        env = Environment()
+        order = []
+
+        def cb(tag):
+            order.append((env.now, tag))
+
+        _lane_push(env, 1.5, cb, "lane")
+        env.schedule_batch([(1.0, cb, ("batch-1",)),
+                            (1.5, cb, ("batch-1.5",)),
+                            (2.0, cb, ("batch-2",))])
+        env.run()
+        # The lane entry took the lower seq, so it wins the 1.5 tie.
+        assert order == [(1.0, "batch-1"), (1.5, "lane"),
+                         (1.5, "batch-1.5"), (2.0, "batch-2")]
+
+    def test_profile_depth_counts_the_lane(self):
+        env = Environment()
+        profile = env.enable_profiling()
+        nop = lambda: None  # noqa: E731
+        for when in (1.0, 2.0, 3.0):
+            _lane_push(env, when, nop)
+        env.schedule_batch([(0.5, nop, ()), (2.5, nop, ())])
+        env.schedule(0.25, nop)
+        env.run()
+        assert profile.events_dispatched == 6
+        assert profile.max_heap_depth == 6

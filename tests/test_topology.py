@@ -1,5 +1,8 @@
 """Tests for topology construction (butterfly, dragonfly, fat-tree)."""
 
+import hashlib
+import json
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -103,6 +106,26 @@ class TestMultiButterfly:
         a = MultiButterflyTopology(256, 3, seed=1).wiring
         b = MultiButterflyTopology(256, 3, seed=2).wiring
         assert a != b
+
+    def test_wiring_matches_recorded_digest(self):
+        """Wiring is pinned byte-for-byte: this digest was recorded with
+        the builder that drew every port through ``rng.sample``/
+        ``rng.choice`` on materialized candidate lists, so any faster
+        builder must reproduce exactly those draws."""
+        digest = hashlib.sha256()
+        for n in (4, 8, 64, 1024, 4096):
+            for m in (1, 2, 4, 5, 8):
+                for randomize in (True, False):
+                    topo = MultiButterflyTopology(
+                        n, m, seed=7, randomize=randomize
+                    )
+                    digest.update(
+                        json.dumps(topo.wiring, allow_nan=False).encode()
+                    )
+        assert digest.hexdigest() == (
+            "2b2a5f2519e45bcccd80c9d23346536b"
+            "ea99f8ed65ed44ee6e5093404c8836c3"
+        )
 
 
 class TestDragonfly:
